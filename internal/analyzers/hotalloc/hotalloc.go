@@ -8,7 +8,10 @@
 //   - map literals and make(map[...]...),
 //   - fmt.Sprint/Sprintf/Sprintln (always allocate their result;
 //     fmt.Errorf on cold error-return paths is deliberately allowed),
-//   - explicit conversions of concrete values to interface types,
+//   - explicit conversions of concrete values to interface types, and
+//     implicit ones where a call passes a concrete value to an
+//     interface-typed parameter (container/heap.Push(h, ev) boxes ev
+//     on every call),
 //   - append inside a loop to a slice declared in the function
 //     without preallocated capacity.
 //
@@ -134,19 +137,69 @@ func checkHotCall(pass *analysis.Pass, decl *ast.FuncDecl, call *ast.CallExpr) {
 	}
 	// make(map[...]...).
 	if id, ok := call.Fun.(*ast.Ident); ok {
-		if b, ok := pass.TypesInfo.ObjectOf(id).(*types.Builtin); ok && b.Name() == "make" && len(call.Args) >= 1 {
-			if _, ok := pass.TypesInfo.TypeOf(call.Args[0]).Underlying().(*types.Map); ok {
-				pass.Reportf(call.Pos(), "make(map) in //parbor:hotpath function %s allocates; hoist it to setup and clear() per pass", decl.Name.Name)
+		if b, ok := pass.TypesInfo.ObjectOf(id).(*types.Builtin); ok {
+			if b.Name() == "make" && len(call.Args) >= 1 {
+				if _, ok := pass.TypesInfo.TypeOf(call.Args[0]).Underlying().(*types.Map); ok {
+					pass.Reportf(call.Pos(), "make(map) in //parbor:hotpath function %s allocates; hoist it to setup and clear() per pass", decl.Name.Name)
+				}
 			}
+			return
+		}
+	}
+	// fmt.Sprint* family; fmt.Errorf is allowed on cold error paths.
+	fn := typeutil.StaticCallee(pass.TypesInfo, call)
+	if fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
+		if fmtAllocators[fn.Name()] {
+			pass.Reportf(call.Pos(), "fmt.%s in //parbor:hotpath function %s allocates its result (and boxes its arguments); format off the hot path", fn.Name(), decl.Name.Name)
 		}
 		return
 	}
-	// fmt.Sprint* family.
-	if fn := typeutil.StaticCallee(pass.TypesInfo, call); fn != nil && fn.Pkg() != nil {
-		if fn.Pkg().Path() == "fmt" && fmtAllocators[fn.Name()] {
-			pass.Reportf(call.Pos(), "fmt.%s in //parbor:hotpath function %s allocates its result (and boxes its arguments); format off the hot path", fn.Name(), decl.Name.Name)
-		}
+	checkBoxedArgs(pass, decl, call)
+}
+
+// checkBoxedArgs flags concrete, non-pointer-shaped arguments passed
+// to interface-typed parameters: the implicit conversion boxes each
+// one on the heap, once per call. Constants and pointer-shaped values
+// (pointers, maps, channels, funcs) box without allocating and are
+// left alone.
+func checkBoxedArgs(pass *analysis.Pass, decl *ast.FuncDecl, call *ast.CallExpr) {
+	sig, ok := pass.TypesInfo.TypeOf(call.Fun).(*types.Signature)
+	if !ok || call.Ellipsis.IsValid() {
+		return // f(xs...) forwards an existing slice: no fresh boxes
 	}
+	params := sig.Params()
+	for i, arg := range call.Args {
+		var pt types.Type
+		switch {
+		case sig.Variadic() && i >= params.Len()-1:
+			pt = params.At(params.Len() - 1).Type().(*types.Slice).Elem()
+		case i < params.Len():
+			pt = params.At(i).Type()
+		default:
+			continue
+		}
+		if !types.IsInterface(pt) {
+			continue
+		}
+		tv, ok := pass.TypesInfo.Types[arg]
+		if !ok || tv.Value != nil || tv.IsNil() || types.IsInterface(tv.Type) || pointerShaped(tv.Type) {
+			continue
+		}
+		pass.Reportf(arg.Pos(), "argument of type %s passed as interface %s in //parbor:hotpath function %s boxes it on the heap; use a typed API",
+			types.TypeString(tv.Type, types.RelativeTo(pass.Pkg)), types.TypeString(pt, types.RelativeTo(pass.Pkg)), decl.Name.Name)
+	}
+}
+
+// pointerShaped reports whether values of t fit an interface's data
+// word directly, so converting them to an interface never allocates.
+func pointerShaped(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Pointer, *types.Map, *types.Chan, *types.Signature:
+		return true
+	case *types.Basic:
+		return u.Kind() == types.UnsafePointer
+	}
+	return false
 }
 
 // checkLoopAppends flags `s = append(s, ...)` inside a loop when s is

@@ -95,3 +95,37 @@ func coldReport(rows []int) string {
 	}
 	return join(",")
 }
+
+// event is a small value type, like the simulator's queue entries.
+type event struct {
+	at float64
+	id int
+}
+
+// sink takes its argument as an interface, as container/heap.Push
+// does.
+func sink(x any) {}
+
+// sinkAll is the variadic shape.
+func sinkAll(xs ...any) {}
+
+// hotImplicitBox passes concrete values to interface parameters.
+//
+//parbor:hotpath
+func hotImplicitBox(ev event, row int) {
+	sink(ev)          // want hotalloc `argument of type event passed as interface any`
+	sinkAll(&ev, row) // want hotalloc `argument of type int passed as interface any`
+}
+
+// hotNoBox passes values that convert without allocating: pointers,
+// constants, nil, values already in an interface, and a forwarded
+// variadic slice.
+//
+//parbor:hotpath
+func hotNoBox(ev *event, v any, xs []any) {
+	sink(ev)
+	sink(3)
+	sink(nil)
+	sink(v)
+	sinkAll(xs...)
+}

@@ -41,22 +41,34 @@ func New(nbits uint64, hashes int) (*Filter, error) {
 // NewWithEstimate sizes the filter for n expected keys at the target
 // false-positive probability p, using the standard optimal formulas.
 func NewWithEstimate(n uint64, p float64) (*Filter, error) {
+	nbits, hashes, err := EstimateParams(n, p)
+	if err != nil {
+		return nil, err
+	}
+	return New(nbits, hashes)
+}
+
+// EstimateParams returns the bit count and hash count NewWithEstimate
+// would use for n keys at false-positive probability p. Parameters it
+// returns without error are always accepted by New, so a caller that
+// defers building the filter can validate up front.
+func EstimateParams(n uint64, p float64) (nbits uint64, hashes int, err error) {
 	if n == 0 {
-		return nil, fmt.Errorf("bloom: n must be positive")
+		return 0, 0, fmt.Errorf("bloom: n must be positive")
 	}
 	if p <= 0 || p >= 1 {
-		return nil, fmt.Errorf("bloom: p must be in (0,1), got %v", p)
+		return 0, 0, fmt.Errorf("bloom: p must be in (0,1), got %v", p)
 	}
 	ln2 := math.Ln2
-	nbits := uint64(math.Ceil(-float64(n) * math.Log(p) / (ln2 * ln2)))
-	hashes := int(math.Round(float64(nbits) / float64(n) * ln2))
+	nbits = uint64(math.Ceil(-float64(n) * math.Log(p) / (ln2 * ln2)))
+	hashes = int(math.Round(float64(nbits) / float64(n) * ln2))
 	if hashes < 1 {
 		hashes = 1
 	}
 	if hashes > 16 {
 		hashes = 16
 	}
-	return New(nbits, hashes)
+	return nbits, hashes, nil
 }
 
 // mix is a 64-bit finalizer (SplitMix64) used to derive the k hash

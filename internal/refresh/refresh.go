@@ -77,14 +77,28 @@ type Config struct {
 // Policy is not safe for concurrent use.
 type Policy struct {
 	cfg      Config
-	weak     *bloom.Filter // controller's weak-row storage (RAIDR-style)
 	nWeak    int64
 	nFast    int64          // rows currently on the fast interval
 	override map[int64]bool // DC-REF: matched-state set by writes
-	src      *rng.Source    // deterministic draws
+
+	// weak is the controller's weak-row storage (RAIDR-style), built
+	// from weakBits/weakHashes on the first IsWeak call: the refresh
+	// engine needs only the row counts, so a policy nobody queries
+	// row by row never pays for the filter.
+	weak       *bloom.Filter
+	weakBits   uint64
+	weakHashes int
+
+	// Per-row draws: each stream is src.Child(label), cached so a
+	// draw is one At(row) instead of a label hash per row.
+	// Child(l).At(n) is SplitN(l, n), so every draw is the one the
+	// uncached SplitN form makes.
+	weakSrc   rng.Source // "weak": ground-truth weak-row membership
+	match0Src rng.Source // "match0": content state at system start
+	writeSrc  rng.Source // "write": content drawn by each write
 }
 
-// New builds a policy and populates its weak-row structures.
+// New builds a policy and counts its weak and fast rows.
 func New(cfg Config) (*Policy, error) {
 	if cfg.TotalRows <= 0 {
 		return nil, fmt.Errorf("refresh: TotalRows must be positive, got %d", cfg.TotalRows)
@@ -100,15 +114,24 @@ func New(cfg Config) (*Policy, error) {
 	default:
 		return nil, fmt.Errorf("refresh: unknown policy kind %d", int(cfg.Kind))
 	}
-	p := &Policy{cfg: cfg, override: make(map[int64]bool), src: rng.New(cfg.Seed)}
+	src := rng.New(cfg.Seed)
+	p := &Policy{
+		cfg:       cfg,
+		override:  make(map[int64]bool),
+		weakSrc:   src.Child("weak"),
+		match0Src: src.Child("match0"),
+		writeSrc:  src.Child("write"),
+	}
 	if cfg.Kind == Uniform {
 		p.nFast = cfg.TotalRows
 		return p, nil
 	}
 
+	// Size the filter now so an impossible configuration fails here,
+	// not on the first IsWeak call that builds it.
 	expectedWeak := uint64(float64(cfg.TotalRows)*cfg.WeakRowFrac) + 1
 	var err error
-	p.weak, err = bloom.NewWithEstimate(expectedWeak, 0.001)
+	p.weakBits, p.weakHashes, err = bloom.EstimateParams(expectedWeak, 0.001)
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +140,6 @@ func New(cfg Config) (*Policy, error) {
 			continue
 		}
 		p.nWeak++
-		p.weak.Add(uint64(row))
 		switch cfg.Kind {
 		case RAIDR:
 			p.nFast++
@@ -133,13 +155,35 @@ func New(cfg Config) (*Policy, error) {
 // isWeakDraw is the ground-truth weak-row membership (deterministic
 // per seed). The controller's Bloom filter approximates this set.
 func (p *Policy) isWeakDraw(row int64) bool {
-	return p.src.SplitN("weak", uint64(row)).Float64() < p.cfg.WeakRowFrac
+	s := p.weakSrc.At(uint64(row))
+	return s.Float64() < p.cfg.WeakRowFrac
 }
 
 // initialMatch is the primed content state of a weak row: whether the
 // data resident at system start matches the worst-case pattern.
 func (p *Policy) initialMatch(row int64) bool {
-	return p.src.SplitN("match0", uint64(row)).Float64() < p.cfg.InitialMatchProb
+	s := p.match0Src.At(uint64(row))
+	return s.Float64() < p.cfg.InitialMatchProb
+}
+
+// weakFilter returns the controller's weak-row Bloom filter, building
+// it on first use from the same draws New counted.
+func (p *Policy) weakFilter() *bloom.Filter {
+	if p.weak != nil {
+		return p.weak
+	}
+	f, err := bloom.New(p.weakBits, p.weakHashes)
+	if err != nil {
+		// EstimateParams validated these parameters in New.
+		panic(fmt.Sprintf("refresh: weak-row filter: %v", err))
+	}
+	for row := int64(0); row < p.cfg.TotalRows; row++ {
+		if p.isWeakDraw(row) {
+			f.Add(uint64(row))
+		}
+	}
+	p.weak = f
+	return f
 }
 
 // Kind returns the policy kind.
@@ -161,7 +205,7 @@ func (p *Policy) IsWeak(row int64) bool {
 	if p.cfg.Kind == Uniform {
 		return false
 	}
-	return p.weak.Contains(uint64(row))
+	return p.weakFilter().Contains(uint64(row))
 }
 
 // matched returns the current content-match state of a weak row.
@@ -187,7 +231,9 @@ func (p *Policy) OnWrite(row int64, matchProb float64, writeSeq uint64) {
 		return // content of strong rows never forces fast refresh
 	}
 	old := p.matched(row)
-	now := p.src.SplitN("write", uint64(row)).SplitN("seq", writeSeq).Float64() < matchProb
+	w := p.writeSrc.At(uint64(row))
+	draw := w.ChildN("seq", writeSeq)
+	now := draw.Float64() < matchProb
 	if old == now {
 		return
 	}
